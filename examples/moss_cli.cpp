@@ -556,8 +556,8 @@ int cmd_plan_compile(const std::string& arg, const std::string& out,
   return 0;
 }
 
-int cmd_plan_inspect(const std::string& path, bool use_mmap) {
-  const plan::ExecutionPlan p = plan::load(path, use_mmap);
+int cmd_plan_inspect(const std::string& path) {
+  const plan::ExecutionPlan p = plan::load(path);
   std::printf("== %s ==\n", p.name.c_str());
   std::printf("nodes:    %zu (%llu cells, %zu flops, %zu PIs, %zu POs)\n",
               p.num_nodes(), static_cast<unsigned long long>(p.num_cells),
@@ -608,7 +608,7 @@ void usage() {
       "         [--max-delay-ms N] [--threads N] [--max-retries N]\n"
       "         [--shed-threshold F] [--allow-stale]\n"
       "  plan   compile <design> --out <file.mossplan> [--threads N]\n"
-      "  plan   inspect <file.mossplan> [--mmap]\n"
+      "  plan   inspect <file.mossplan>\n"
       "<design> = verilog file (*.v) or family:size (e.g. alu:2)\n"
       "exit codes: 0 ok, 1 analysis failed, 2 usage/error, 3 bad "
       "checkpoint,\n"
@@ -745,12 +745,9 @@ int main(int argc, char** argv) {
       const std::string sub = argv[2];
       if (sub == "inspect") {
         std::string path;
-        bool use_mmap = false;
         for (int i = 3; i < argc; ++i) {
           const std::string a = argv[i];
-          if (a == "--mmap") {
-            use_mmap = true;
-          } else if (a.rfind("--", 0) == 0) {
+          if (a.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown plan option %s\n", a.c_str());
             usage();
             return 2;
@@ -762,7 +759,7 @@ int main(int argc, char** argv) {
           usage();
           return 2;
         }
-        return cmd_plan_inspect(path, use_mmap);
+        return cmd_plan_inspect(path);
       }
       if (sub == "compile") {
         std::string design, out;

@@ -2,8 +2,7 @@
 //
 //   moss_serve <design>... [--ckpt FILE] [--cache-mb N] [--max-batch N]
 //              [--max-delay-ms N] [--threads N] [--socket PATH]
-//              [--cache-dir DIR] [--shard-name NAME] [--mmap]
-//              [--no-fused-batching]
+//              [--cache-dir DIR] [--shard-name NAME] [--no-fused-batching]
 //
 // Boots a warm MossSession (loaded from a `moss_cli train --save`
 // checkpoint when --ckpt is given — pass the same design list so the
@@ -67,7 +66,6 @@ struct Options {
   int max_retries = 2;          ///< retries after the first attempt
   double shed_threshold = 0.75; ///< queue fraction; >=1 disables shedding
   bool allow_stale = false;
-  bool use_mmap = false;  ///< mmap MOSSSEG1 cache segments instead of reading
   bool no_fused = false;  ///< disable cross-request fused batching
 };
 
@@ -77,11 +75,10 @@ void usage() {
       "       [--max-batch N] [--max-delay-ms N] [--threads N]\n"
       "       [--socket PATH] [--max-retries N] [--shed-threshold F]\n"
       "       [--allow-stale] [--cache-dir DIR] [--shard-name NAME]\n"
-      "       [--mmap] [--no-fused-batching]\n"
+      "       [--no-fused-batching]\n"
       "<design> = verilog file (*.v) or family:size (e.g. alu:2)\n"
-      "--mmap maps MOSSSEG1 cache segments read-only at load instead of\n"
-      "reading them whole; --no-fused-batching dispatches every request\n"
-      "through the sequential per-request path.\n",
+      "--no-fused-batching dispatches every request through the sequential\n"
+      "per-request path.\n",
       stderr);
 }
 
@@ -298,8 +295,6 @@ int main(int argc, char** argv) {
       opt.shard_name = v;
     } else if (a == "--allow-stale") {
       opt.allow_stale = true;
-    } else if (a == "--mmap") {
-      opt.use_mmap = true;
     } else if (a == "--no-fused-batching") {
       opt.no_fused = true;
     } else if (a.rfind("--", 0) == 0) {
@@ -389,8 +384,7 @@ int main(int argc, char** argv) {
     // corrupt or mismatched segments cost only themselves (cold keys).
     if (!opt.cache_dir.empty()) {
       const cluster::LoadReport lr =
-          cluster::load_cache(opt.cache_dir, cache, session->fingerprint(),
-                              opt.use_mmap);
+          cluster::load_cache(opt.cache_dir, cache, session->fingerprint());
       std::fprintf(stderr,
                    "moss_serve: cache warm-start from %s: segments=%zu "
                    "entries=%zu rejected=%zu\n",

@@ -8,8 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <dirent.h>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "core_util/crc32.hpp"
@@ -18,56 +16,6 @@
 namespace moss::cluster {
 
 namespace {
-
-// Shared MOSSSEG1/MOSSMFT1 header: magic | u32 version | u32 reserved |
-// u64 payload_bytes | u32 payload_crc32 | payload.
-std::string frame(const char magic[8], const std::string& payload) {
-  tensor::ByteWriter w;
-  w.bytes(magic, 8);
-  w.u32(kSegmentVersion);
-  w.u32(0);  // reserved
-  w.u64(payload.size());
-  w.u32(crc32(payload));
-  std::string out = w.take();
-  out += payload;
-  return out;
-}
-
-// Validate a framed blob and return its payload view. One pass, fail-typed:
-// the caller's ctx (file=…) prefixes every error.
-std::string_view unframe(const char magic[8], std::string_view blob,
-                         const ErrorContext& ctx) {
-  ctx.check(blob.size() >= kSegmentHeaderBytes, "truncated header");
-  if (std::memcmp(blob.data(), magic, 8) != 0) {
-    ErrorContext c2 = ctx;
-    c2.add("reason", "bad_magic").fail("unrecognized file magic");
-  }
-  tensor::ByteReader r(blob.substr(8, kSegmentHeaderBytes - 8), ctx);
-  const std::uint32_t version = r.u32();
-  r.u32();  // reserved
-  const std::uint64_t payload_bytes = r.u64();
-  const std::uint32_t expect_crc = r.u32();
-  if (version != kSegmentVersion) {
-    ErrorContext c2 = ctx;
-    c2.add("reason", "bad_version")
-        .add("version", std::to_string(version))
-        .fail("unsupported format version");
-  }
-  if (blob.size() - kSegmentHeaderBytes != payload_bytes) {
-    ErrorContext c2 = ctx;
-    c2.add("reason", "truncated")
-        .add("expected_bytes", std::to_string(payload_bytes))
-        .add("actual_bytes",
-             std::to_string(blob.size() - kSegmentHeaderBytes))
-        .fail("payload size mismatch");
-  }
-  const std::string_view payload = blob.substr(kSegmentHeaderBytes);
-  if (crc32(payload) != expect_crc) {
-    ErrorContext c2 = ctx;
-    c2.add("reason", "crc_mismatch").fail("payload checksum mismatch");
-  }
-  return payload;
-}
 
 void ensure_dir(const std::string& dir, const ErrorContext& ctx) {
   struct stat st;
@@ -126,12 +74,13 @@ std::string serialize_manifest(std::uint64_t fingerprint,
     w.str(s.filename);
     w.u32(s.crc);
   }
-  return frame(kManifestMagic, w.take());
+  return tensor::frame(kManifestMagic, kSegmentVersion, w.take());
 }
 
 std::vector<ManifestRecord> deserialize_manifest(std::string_view blob,
                                                  ErrorContext ctx) {
-  const std::string_view payload = unframe(kManifestMagic, blob, ctx);
+  const std::string_view payload =
+      tensor::unframe(kManifestMagic, kSegmentVersion, blob, ctx);
   tensor::ByteReader r(payload, ctx);
   r.u64();  // fingerprint — segments each carry (and enforce) their own
   const std::uint64_t n = r.u64();
@@ -164,13 +113,14 @@ std::string serialize_segment(std::uint64_t model_fingerprint,
     const std::vector<float>& d = e.value.data();
     w.bytes(d.data(), d.size() * sizeof(float));
   }
-  return frame(kSegmentMagic, w.take());
+  return tensor::frame(kSegmentMagic, kSegmentVersion, w.take());
 }
 
 std::vector<SegmentEntry> deserialize_segment(
     std::string_view blob, std::uint64_t expect_fingerprint,
     ErrorContext ctx) {
-  const std::string_view payload = unframe(kSegmentMagic, blob, ctx);
+  const std::string_view payload =
+      tensor::unframe(kSegmentMagic, kSegmentVersion, blob, ctx);
   tensor::ByteReader r(payload, ctx);
   const std::uint64_t fingerprint = r.u64();
   if (expect_fingerprint != 0 && fingerprint != expect_fingerprint) {
@@ -276,7 +226,7 @@ SaveReport save_cache(const std::string& dir,
 }
 
 LoadReport load_cache(const std::string& dir, serve::EmbeddingCache& cache,
-                      std::uint64_t model_fingerprint, bool use_mmap) {
+                      std::uint64_t model_fingerprint) {
   LoadReport report;
   const auto note_rejection = [&](const std::exception& e) {
     ++report.segments_rejected;
@@ -296,9 +246,8 @@ LoadReport load_cache(const std::string& dir, serve::EmbeddingCache& cache,
       ErrorContext ctx;
       ctx.add("file", manifest_path);
       try {
-        const tensor::FileBlob blob =
-            tensor::FileBlob::read(manifest_path, ctx, use_mmap);
-        for (ManifestRecord& rec : deserialize_manifest(blob.view(), ctx)) {
+        const std::string blob = tensor::read_file(manifest_path, ctx);
+        for (ManifestRecord& rec : deserialize_manifest(blob, ctx)) {
           names.push_back(std::move(rec.filename));
         }
       } catch (const std::exception& e) {
@@ -315,12 +264,9 @@ LoadReport load_cache(const std::string& dir, serve::EmbeddingCache& cache,
     ErrorContext ctx;
     ctx.add("file", path);
     try {
-      // Segments are CRC-checked and copied entry-by-entry into the cache,
-      // so the mmap backing only lives for this scope; the page cache still
-      // saves the up-front full-file read for segments that fail early.
-      const tensor::FileBlob blob = tensor::FileBlob::read(path, ctx, use_mmap);
+      const std::string blob = tensor::read_file(path, ctx);
       const std::vector<SegmentEntry> entries =
-          deserialize_segment(blob.view(), model_fingerprint, ctx);
+          deserialize_segment(blob, model_fingerprint, ctx);
       for (const SegmentEntry& e : entries) {
         cache.put(e.key, e.value);
         ++report.entries;

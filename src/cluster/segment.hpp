@@ -7,6 +7,7 @@
 
 #include "core_util/error.hpp"
 #include "serve/cache.hpp"
+#include "tensor/serialize.hpp"
 
 namespace moss::cluster {
 
@@ -15,14 +16,15 @@ namespace moss::cluster {
 /// segment files so a killed-and-respawned process starts warm (~9,200 QPS
 /// FEP-rank) instead of cold (~102 QPS, see results/bench_serve.json).
 ///
-/// Segment file format (MOSSSEG1 v1), little-endian throughout:
+/// Segment file format (MOSSSEG1 v1), little-endian throughout, framed by
+/// the shared tensor::frame/unframe codec (the one MOSSPLN1 uses):
 ///
 ///   magic "MOSSSEG1" | u32 format_version | u32 reserved(0)
 ///   u64 payload_bytes | u32 payload_crc32 | payload
 ///   payload: u64 model_fingerprint | u64 entry_count
 ///            per entry: u64 key | u32 rows | u32 cols | rows*cols f32
 ///
-/// Manifest file format (MOSSMFT1 v1), same header discipline:
+/// Manifest file format (MOSSMFT1 v1), same frame:
 ///
 ///   magic "MOSSMFT1" | u32 format_version | u32 reserved(0)
 ///   u64 payload_bytes | u32 payload_crc32 | payload
@@ -35,17 +37,18 @@ namespace moss::cluster {
 /// and a crash at any point leaves the previous generation fully loadable.
 /// Segment files are content-addressed (named by their payload CRC + size),
 /// so a half-written generation can never clobber a live segment. Loads
-/// follow MOSSPLN1's one-read style: slurp the file, verify magic / version
-/// / size / CRC over the whole payload, then slice entries out with a
-/// bounds-checked reader — any mismatch raises a typed ContextError
-/// (reason=bad_magic / bad_version / truncated / crc_mismatch /
-/// model_mismatch / bad_entry) naming the file.
+/// follow MOSSPLN1's one-read style: slurp the file (tensor::read_file),
+/// verify magic / version / reserved / size / CRC over the whole payload,
+/// then slice entries out with a bounds-checked reader — any mismatch
+/// raises a typed ContextError (reason=truncated / bad_magic / bad_version
+/// / bad_reserved / crc_mismatch / model_mismatch / bad_entry) naming the
+/// file.
 inline constexpr char kSegmentMagic[8] = {'M', 'O', 'S', 'S',
                                           'S', 'E', 'G', '1'};
 inline constexpr char kManifestMagic[8] = {'M', 'O', 'S', 'S',
                                            'M', 'F', 'T', '1'};
 inline constexpr std::uint32_t kSegmentVersion = 1;
-inline constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 4 + 8 + 4;
+inline constexpr std::size_t kSegmentHeaderBytes = tensor::kFrameHeaderBytes;
 /// Manifest basename inside a cache directory.
 inline constexpr const char* kManifestName = "MANIFEST.mossmft";
 
@@ -103,10 +106,7 @@ SaveReport save_cache(const std::string& dir,
 /// missing or unreadable), load each segment, and put() every entry whose
 /// segment validates. Per-segment failures are skipped and counted;
 /// load_cache itself only throws on programmer error (never on bad data).
-/// With `use_mmap` segment files are mapped read-only instead of slurped
-/// (falls back to the one-read path when mapping is unavailable); the
-/// restored cache is identical either way.
 LoadReport load_cache(const std::string& dir, serve::EmbeddingCache& cache,
-                      std::uint64_t model_fingerprint, bool use_mmap = false);
+                      std::uint64_t model_fingerprint);
 
 }  // namespace moss::cluster

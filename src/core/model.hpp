@@ -74,8 +74,8 @@ class MossModel {
   const MossConfig& config() const { return cfg_; }
   tensor::ParameterSet& params() { return params_; }
   const tensor::ParameterSet& params() const { return params_; }
-  /// The underlying GNN, for plan-driven propagation (moss::plan) that
-  /// needs initial_state()/step() instead of the packaged forward.
+  /// The underlying GNN, for the serve layer's fused forward, which runs
+  /// it over a merged multi-circuit graph.
   const gnn::TwoPhaseGnn& gnn() const { return gnn_; }
 
   /// GNN forward: final node embeddings (num_nodes × hidden).

@@ -129,10 +129,6 @@ Tensor TwoPhaseGnn::initial_state(const Tensor& features) const {
                                            Tensor{}, input_proj_.bias());
 }
 
-Tensor TwoPhaseGnn::step(const UpdateStep& step, Tensor h) const {
-  return apply_step(step, std::move(h));
-}
-
 Tensor TwoPhaseGnn::run(const Graph& g) const {
   Tensor h = initial_state(g.features);
   for (int round = 0; round < cfg_.rounds; ++round) {

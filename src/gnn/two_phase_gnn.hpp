@@ -40,22 +40,12 @@ class TwoPhaseGnn {
   /// Final node embeddings (N×hidden) after `cfg.rounds` two-phase rounds.
   tensor::Tensor run(const Graph& g) const;
 
-  /// h0 = tanh(features·W_in + b_in): the pre-propagation state run()
-  /// starts from. Exposed so plan-driven execution (moss::plan) can replay
-  /// the schedule outside run() while staying bit-identical.
-  tensor::Tensor initial_state(const tensor::Tensor& features) const;
-
-  /// Apply one scheduled update step to `h` (the body of run()'s inner
-  /// loops). Node updates are row-independent, so a step filtered to a
-  /// subset of its nodes (keeping each kept node's full edge set and edge
-  /// order) produces bit-identical rows for the kept nodes — the contract
-  /// the hash-consed cone path in moss::plan relies on.
-  tensor::Tensor step(const UpdateStep& step, tensor::Tensor h) const;
-
   /// Mean-pooled graph embedding (1×hidden) over g.readout_nodes.
   tensor::Tensor readout(const Graph& g, const tensor::Tensor& node_h) const;
 
  private:
+  /// h0 = tanh(features·W_in + b_in): the pre-propagation state.
+  tensor::Tensor initial_state(const tensor::Tensor& features) const;
   tensor::Tensor apply_step(const UpdateStep& step, tensor::Tensor h) const;
 
   GnnConfig cfg_;

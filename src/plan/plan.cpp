@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core_util/check.hpp"
-#include "core_util/crc32.hpp"
 #include "core_util/hash.hpp"
 #include "tensor/serialize.hpp"
 
@@ -20,8 +18,8 @@ using tensor::Tensor;
 
 namespace {
 
-/// Seed mixed into every cone hash, versioned so a change to the hashing
-/// scheme can never collide with rows cached under the old scheme.
+/// Seed mixed into every cone hash, versioned so fingerprints stored under a
+/// different hashing scheme never compare equal in dirty_cones().
 constexpr std::uint64_t kConeTag = 0x434F4E4531ull;  // "CONE1"
 
 NodeClass classify(const Netlist& nl, NodeId id) {
@@ -384,29 +382,6 @@ ExecutionPlan compile(const data::LabeledCircuit& lc,
   return compile(lc.netlist, core::build_batch(lc, enc, cfg));
 }
 
-ExecutionPlan compile_structure(const Netlist& nl) {
-  MOSS_CHECK(nl.finalized(), "plan compilation needs a finalized netlist");
-  ExecutionPlan p;
-  p.name = nl.name();
-  p.num_cells = nl.num_cells();
-  fill_structure(p, nl);
-  p.cluster.assign(nl.num_nodes(), 0);
-  for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
-    if (p.klass(static_cast<std::int32_t>(i)) == NodeClass::kOutput) {
-      p.cluster[i] = -1;
-    }
-  }
-  p.fwd_step_offset.assign(1, 0);
-  p.turn_step_offset.assign(1, 0);
-  p.group_node_offset.assign(1, 0);
-  p.group_edge_offset.assign(1, 0);
-  compute_cones(p, nl);
-  ErrorContext ctx;
-  ctx.add("plan", p.name);
-  validate(p, ctx);
-  return p;
-}
-
 core::CircuitBatch to_batch(const ExecutionPlan& p) {
   const std::size_t N = p.num_nodes();
   core::CircuitBatch b;
@@ -594,35 +569,12 @@ std::string render_payload(const ExecutionPlan& p) {
 }  // namespace
 
 std::string serialize(const ExecutionPlan& p) {
-  const std::string payload = render_payload(p);
-  tensor::ByteWriter h;
-  h.bytes(kPlanMagic, sizeof(kPlanMagic));
-  h.u32(kPlanVersion);
-  h.u32(0);  // reserved
-  h.u64(payload.size());
-  h.u32(crc32(payload.data(), payload.size()));
-  return h.take() + payload;
+  return tensor::frame(kPlanMagic, kPlanVersion, render_payload(p));
 }
 
 ExecutionPlan deserialize(std::string_view blob, ErrorContext ctx) {
-  ctx.check(blob.size() >= kPlanHeaderBytes, "plan blob too small");
-  ctx.check(std::memcmp(blob.data(), kPlanMagic, sizeof(kPlanMagic)) == 0,
-            "bad plan magic");
-  std::uint32_t version = 0, reserved = 0, crc = 0;
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&version, blob.data() + 8, sizeof(version));
-  std::memcpy(&reserved, blob.data() + 12, sizeof(reserved));
-  std::memcpy(&payload_bytes, blob.data() + 16, sizeof(payload_bytes));
-  std::memcpy(&crc, blob.data() + 24, sizeof(crc));
-  ctx.check(reserved == 0, "plan header reserved field must be zero");
-  if (version != kPlanVersion) {
-    ctx.add("version", std::to_string(version));
-    ctx.fail("unsupported plan format version");
-  }
-  const std::string_view payload = blob.substr(kPlanHeaderBytes);
-  ctx.check(payload.size() == payload_bytes, "plan payload size mismatch");
-  ctx.check(crc32(payload.data(), payload.size()) == crc,
-            "plan payload crc mismatch");
+  const std::string_view payload =
+      tensor::unframe(kPlanMagic, kPlanVersion, blob, ctx);
 
   PlanReader r(payload, ctx);
   ExecutionPlan p;
@@ -690,11 +642,11 @@ void save(const ExecutionPlan& p, const std::string& path) {
   });
 }
 
-ExecutionPlan load(const std::string& path, bool use_mmap) {
+ExecutionPlan load(const std::string& path) {
   ErrorContext ctx;
   ctx.add("file", path);
-  const tensor::FileBlob blob = tensor::FileBlob::read(path, ctx, use_mmap);
-  return deserialize(blob.view(), std::move(ctx));
+  const std::string blob = tensor::read_file(path, ctx);
+  return deserialize(blob, std::move(ctx));
 }
 
 // ---------------------------------------------------------------------------
@@ -752,347 +704,6 @@ std::vector<std::int32_t> invalidation_set(
     if (visited[i]) out.push_back(static_cast<std::int32_t>(i));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Hash-consed embedding path
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Filter a scheduled group to the nodes flagged in `need`. Each kept node
-/// retains its full incoming edge set in the original order (make_step
-/// emits edges contiguously per node, in node order), so segment softmax
-/// and aggregation see exactly the rows they saw in the full step.
-gnn::UpdateGroup filter_group(const gnn::UpdateGroup& g,
-                              const std::vector<char>& need) {
-  gnn::UpdateGroup out;
-  out.cluster = g.cluster;
-  std::size_t e = 0;
-  for (std::size_t l = 0; l < g.nodes.size(); ++l) {
-    const std::size_t begin = e;
-    while (e < g.edge_dst_local.size() &&
-           g.edge_dst_local[e] == static_cast<int>(l)) {
-      ++e;
-    }
-    const int v = g.nodes[l];
-    if (!need[static_cast<std::size_t>(v)]) continue;
-    const int local = static_cast<int>(out.nodes.size());
-    out.nodes.push_back(v);
-    for (std::size_t k = begin; k < e; ++k) {
-      out.edge_src.push_back(g.edge_src[k]);
-      out.edge_dst.push_back(g.edge_dst[k]);
-      out.edge_dst_local.push_back(local);
-      out.edge_pos.push_back(g.edge_pos[k]);
-    }
-  }
-  return out;
-}
-
-gnn::UpdateStep filter_step(const gnn::UpdateStep& step,
-                            const std::vector<char>& need) {
-  gnn::UpdateStep out;
-  for (const gnn::UpdateGroup& g : step.groups) {
-    gnn::UpdateGroup f = filter_group(g, need);
-    if (!f.nodes.empty()) out.groups.push_back(std::move(f));
-  }
-  return out;
-}
-
-}  // namespace
-
-Tensor hashcons_node_embeddings(const gnn::TwoPhaseGnn& gnn,
-                                const ExecutionPlan& plan,
-                                const core::CircuitBatch& batch,
-                                ConeRowCache& cache, ConeStats* stats) {
-  const gnn::Graph& g = batch.graph;
-  MOSS_CHECK(plan.num_nodes() == g.num_nodes,
-             "plan/batch node count mismatch");
-  if (gnn.config().rounds != 1 || g.turnaround_steps.size() > 1) {
-    // Cone reuse is only sound for one two-phase round with a single
-    // turnaround step — anything else re-reads updated state, so fall back
-    // to the full propagation.
-    Tensor h = gnn.run(g);
-    if (stats != nullptr) *stats = ConeStats{};
-    return h;
-  }
-  const std::size_t hidden = gnn.config().hidden;
-  Tensor h = gnn.initial_state(g.features).detach();
-
-  ConeStats st;
-  std::vector<char> miss(g.num_nodes, 0);
-  std::vector<tensor::Tensor> cached(g.num_nodes);
-  const auto probe = [&](const gnn::UpdateStep& step) {
-    for (const gnn::UpdateGroup& grp : step.groups) {
-      for (const int v : grp.nodes) {
-        ++st.scheduled;
-        std::optional<Tensor> row =
-            cache.get(plan.cone_hash[static_cast<std::size_t>(v)]);
-        if (row.has_value() && row->rows() == 1 && row->cols() == hidden) {
-          cached[static_cast<std::size_t>(v)] = std::move(*row);
-          ++st.reused;
-        } else {
-          miss[static_cast<std::size_t>(v)] = 1;
-        }
-      }
-    }
-  };
-  const auto overlay = [&](int v) {
-    const Tensor& row = cached[static_cast<std::size_t>(v)];
-    std::copy(row.data().begin(), row.data().end(),
-              h.data().begin() +
-                  static_cast<std::ptrdiff_t>(static_cast<std::size_t>(v) *
-                                              hidden));
-  };
-  const auto store = [&](int v) {
-    const float* src = h.data().data() + static_cast<std::size_t>(v) * hidden;
-    cache.put(plan.cone_hash[static_cast<std::size_t>(v)],
-              Tensor::from(std::vector<float>(src, src + hidden), 1, hidden));
-    ++st.computed;
-  };
-
-  // Forward phase: probe every scheduled combinational node, overlay hits
-  // (their cached rows are final values, and level order guarantees no
-  // earlier step reads a later node), then propagate only the misses. Each
-  // kept node sees its full fan-in, whose rows are final either way.
-  for (const gnn::UpdateStep& step : g.forward_steps) probe(step);
-  for (const gnn::UpdateStep& step : g.forward_steps) {
-    for (const gnn::UpdateGroup& grp : step.groups) {
-      for (const int v : grp.nodes) {
-        if (cached[static_cast<std::size_t>(v)].defined()) overlay(v);
-      }
-    }
-  }
-  for (const gnn::UpdateStep& step : g.forward_steps) {
-    const gnn::UpdateStep f = filter_step(step, miss);
-    if (!f.groups.empty()) h = gnn.step(f, std::move(h));
-  }
-  for (const gnn::UpdateStep& step : g.forward_steps) {
-    for (const gnn::UpdateGroup& grp : step.groups) {
-      for (const int v : grp.nodes) {
-        if (miss[static_cast<std::size_t>(v)]) store(v);
-      }
-    }
-  }
-
-  // Turnaround: every flop (hit or miss) must still hold h0 while the
-  // filtered step runs — the single step reads pre-step state — so cached
-  // flop rows are overlaid only after the step.
-  if (!g.turnaround_steps.empty()) {
-    const gnn::UpdateStep& tstep = g.turnaround_steps[0];
-    probe(tstep);
-    const gnn::UpdateStep f = filter_step(tstep, miss);
-    if (!f.groups.empty()) h = gnn.step(f, std::move(h));
-    for (const gnn::UpdateGroup& grp : tstep.groups) {
-      for (const int v : grp.nodes) {
-        if (cached[static_cast<std::size_t>(v)].defined()) {
-          overlay(v);
-        } else if (miss[static_cast<std::size_t>(v)]) {
-          store(v);
-        }
-      }
-    }
-  }
-
-  if (stats != nullptr) *stats = st;
-  return h;
-}
-
-// ---------------------------------------------------------------------------
-// Flat consumers: simulation and timing
-// ---------------------------------------------------------------------------
-
-PlanSimulator::PlanSimulator(const ExecutionPlan& plan,
-                             const cell::CellLibrary& lib)
-    : plan_(&plan), lib_(&lib) {
-  values_.assign(plan.num_nodes(), 0);
-  flop_state_.assign(plan.num_nodes(), 0);
-  transitions_.assign(plan.num_nodes(), 0);
-  ones_.assign(plan.num_nodes(), 0);
-}
-
-void PlanSimulator::reset_state() {
-  std::fill(flop_state_.begin(), flop_state_.end(), 0);
-  std::fill(values_.begin(), values_.end(), 0);
-}
-
-void PlanSimulator::step(const std::vector<std::uint8_t>& pi_values) {
-  const ExecutionPlan& p = *plan_;
-  MOSS_CHECK(pi_values.size() == p.inputs.size(),
-             "plan simulator: wrong number of PI values");
-
-  std::vector<std::uint8_t> next(values_.size(), 0);
-  for (std::size_t i = 0; i < p.inputs.size(); ++i) {
-    next[static_cast<std::size_t>(p.inputs[i])] = pi_values[i] & 1u;
-  }
-  for (const std::int32_t id : p.topo) {
-    const auto i = static_cast<std::size_t>(id);
-    switch (p.klass(id)) {
-      case NodeClass::kInput:
-        break;  // already driven
-      case NodeClass::kOutput:
-        next[i] = next[static_cast<std::size_t>(
-            p.fanin[static_cast<std::size_t>(p.fanin_offset[i])])];
-        break;
-      case NodeClass::kFlop:
-        next[i] = flop_state_[i];
-        break;
-      case NodeClass::kTie:
-      case NodeClass::kComb: {
-        const cell::CellType& t = lib_->type(p.cell_type[i]);
-        std::uint32_t in = 0;
-        const auto lo = p.fanin_offset[i], hi = p.fanin_offset[i + 1];
-        for (auto e = lo; e < hi; ++e) {
-          in |= static_cast<std::uint32_t>(
-                    next[static_cast<std::size_t>(
-                        p.fanin[static_cast<std::size_t>(e)])])
-                << (e - lo);
-        }
-        next[i] = t.eval(in) ? 1 : 0;
-        break;
-      }
-    }
-  }
-
-  if (cycles_ > 0) {
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      transitions_[i] += (next[i] != values_[i]) ? 1u : 0u;
-    }
-  }
-  for (std::size_t i = 0; i < next.size(); ++i) ones_[i] += next[i];
-
-  // Clock edge, precomputed pin indices instead of name lookups.
-  for (std::size_t fi = 0; fi < p.flops.size(); ++fi) {
-    const auto id = static_cast<std::size_t>(p.flops[fi]);
-    const cell::CellType& t = lib_->type(p.cell_type[id]);
-    const auto pin = [&](std::int32_t pin_index) -> std::uint8_t {
-      MOSS_CHECK(pin_index >= 0, "missing flop pin");
-      return next[static_cast<std::size_t>(
-          p.fanin[static_cast<std::size_t>(
-              p.fanin_offset[id] + pin_index)])];
-    };
-    std::uint8_t q = flop_state_[id];
-    if (t.has_reset && pin(p.flop_pin_r[fi])) {
-      q = t.reset_value ? 1 : 0;
-    } else if (t.has_enable && !pin(p.flop_pin_e[fi])) {
-      // hold
-    } else {
-      q = pin(p.flop_pin_d[fi]);
-    }
-    flop_state_[id] = q;
-  }
-
-  values_ = std::move(next);
-  ++cycles_;
-}
-
-std::vector<std::uint8_t> PlanSimulator::output_values() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(plan_->outputs.size());
-  for (const std::int32_t id : plan_->outputs) {
-    out.push_back(values_[static_cast<std::size_t>(id)]);
-  }
-  return out;
-}
-
-double PlanSimulator::toggle_rate(std::int32_t id) const {
-  if (cycles_ <= 1) return 0.0;
-  return static_cast<double>(transitions_[static_cast<std::size_t>(id)]) /
-         static_cast<double>(cycles_ - 1);
-}
-
-std::vector<double> PlanSimulator::toggle_rates() const {
-  std::vector<double> out(values_.size(), 0.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = toggle_rate(static_cast<std::int32_t>(i));
-  }
-  return out;
-}
-
-double PlanSimulator::one_rate(std::int32_t id) const {
-  if (cycles_ == 0) return 0.0;
-  return static_cast<double>(ones_[static_cast<std::size_t>(id)]) /
-         static_cast<double>(cycles_);
-}
-
-std::vector<double> PlanSimulator::one_rates() const {
-  std::vector<double> out(values_.size(), 0.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = one_rate(static_cast<std::int32_t>(i));
-  }
-  return out;
-}
-
-void PlanSimulator::clear_activity() {
-  std::fill(transitions_.begin(), transitions_.end(), 0);
-  std::fill(ones_.begin(), ones_.end(), 0);
-  cycles_ = 0;
-}
-
-std::vector<double> arrival_times(const ExecutionPlan& p,
-                                  const cell::CellLibrary& lib,
-                                  const sta::StaOptions& opts) {
-  std::vector<double> arrival(p.num_nodes(), 0.0);
-  std::vector<double> slew(p.num_nodes(), 0.0);
-  const auto arc_derate = [&](std::int32_t driver) {
-    return opts.slew_aware
-               ? opts.slew_sensitivity * slew[static_cast<std::size_t>(driver)]
-               : 0.0;
-  };
-  const auto output_slew = [&](const cell::CellType& t, double load) {
-    return opts.slew_aware ? 8.0 + 2.0 * t.drive_res * load : 0.0;
-  };
-  for (const std::int32_t id : p.topo) {
-    const auto i = static_cast<std::size_t>(id);
-    double at = 0.0;
-    double sl = 0.0;
-    switch (p.klass(id)) {
-      case NodeClass::kInput:
-        at = opts.input_arrival_ps + opts.input_drive_res * p.output_load[i];
-        sl = opts.slew_aware ? opts.input_slew_ps : 0.0;
-        break;
-      case NodeClass::kOutput: {
-        const auto d = static_cast<std::size_t>(
-            p.fanin[static_cast<std::size_t>(p.fanin_offset[i])]);
-        at = arrival[d];
-        sl = slew[d];
-        break;
-      }
-      case NodeClass::kFlop: {
-        const cell::CellType& t = lib.type(p.cell_type[i]);
-        const double load_delay = t.drive_res * p.output_load[i];
-        at = t.intrinsic_delay.empty() ? load_delay
-                                       : t.intrinsic_delay[0] + load_delay;
-        sl = output_slew(t, p.output_load[i]);
-        break;
-      }
-      case NodeClass::kTie:
-        at = 0.0;  // constants are always there
-        break;
-      case NodeClass::kComb: {
-        const cell::CellType& t = lib.type(p.cell_type[i]);
-        const double load_delay = t.drive_res * p.output_load[i];
-        const auto lo = p.fanin_offset[i], hi = p.fanin_offset[i + 1];
-        bool first = true;
-        for (auto e = lo; e < hi; ++e) {
-          const std::int32_t f = p.fanin[static_cast<std::size_t>(e)];
-          const double cand = arrival[static_cast<std::size_t>(f)] +
-                              t.intrinsic_delay[static_cast<std::size_t>(
-                                  e - lo)] +
-                              load_delay + arc_derate(f);
-          if (first || cand > at) {
-            at = cand;
-            first = false;
-          }
-        }
-        sl = output_slew(t, p.output_load[i]);
-        break;
-      }
-    }
-    arrival[i] = at;
-    slew[i] = sl;
-  }
-  return arrival;
 }
 
 }  // namespace moss::plan

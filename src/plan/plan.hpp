@@ -1,17 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "cell/library.hpp"
 #include "core/features.hpp"
 #include "core_util/error.hpp"
-#include "gnn/two_phase_gnn.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/sta.hpp"
+#include "tensor/serialize.hpp"
 
 namespace moss::plan {
 
@@ -20,16 +17,17 @@ namespace moss::plan {
 ///   magic "MOSSPLN1" | u32 format_version | u32 reserved(0)
 ///   u64 payload_bytes | u32 payload_crc32 | payload
 ///
-/// Little-endian throughout, following the MOSSCKP1 discipline: writes go
-/// through tensor::atomic_write_file (tmp + fsync + rename), loads do one
-/// read, verify the CRC32 over the whole payload, then slice the flat
-/// arrays out — no pointer fixup, no per-node allocation.
+/// The header is the shared tensor::frame/unframe codec (the one MOSSSEG1
+/// and MOSSMFT1 use). Little-endian throughout: writes go through
+/// tensor::atomic_write_file (tmp + fsync + rename), loads do one read,
+/// verify the CRC32 over the whole payload, then slice the flat arrays out
+/// — no pointer fixup, no per-node allocation.
 inline constexpr char kPlanMagic[8] = {'M', 'O', 'S', 'S', 'P', 'L', 'N', '1'};
 inline constexpr std::uint32_t kPlanVersion = 1;
-inline constexpr std::size_t kPlanHeaderBytes = 8 + 4 + 4 + 8 + 4;
+inline constexpr std::size_t kPlanHeaderBytes = tensor::kFrameHeaderBytes;
 
-/// Coarse node classification, precomputed so hot loops (simulation, STA,
-/// cone walks) never consult the cell library to branch.
+/// Coarse node classification, precomputed so cone hashing and the cone
+/// queries never consult the cell library to branch.
 enum class NodeClass : std::uint8_t {
   kInput = 0,   ///< primary input
   kOutput = 1,  ///< primary output (excluded from the GNN)
@@ -39,17 +37,16 @@ enum class NodeClass : std::uint8_t {
 };
 
 /// A finalized netlist + cluster assignment + GNN schedule lowered into one
-/// flat CSR/SoA structure ("execution plan"). Everything the hot consumers
-/// walk — adjacency, per-level ranges, the two-phase update schedule, node
-/// features, label rows — lives in contiguous arrays indexed by NodeId, so
-/// iteration is cache-friendly and the whole plan round-trips through a
-/// single CRC-checked blob.
+/// flat CSR/SoA structure ("execution plan"): a stored batch. Adjacency,
+/// per-level ranges, the two-phase update schedule, node features and label
+/// rows live in contiguous arrays indexed by NodeId, so the whole plan
+/// round-trips through a single CRC-checked blob and to_batch() gives the
+/// model-ready batch back without a netlist, encoder or clustering.
 ///
 /// Invariants (established by compile(), re-checked on load):
 ///   - all per-node arrays have length num_nodes(); offsets are monotone
 ///     with offset[0] == 0 and offset[N] == pool size
-///   - `topo` is the netlist's finalize() order verbatim, so a topo walk
-///     replays sim/STA op-for-op
+///   - `topo` is the netlist's finalize() order verbatim
 ///   - the schedule arrays are the gnn::Graph steps flattened in order, so
 ///     to_batch() reconstructs a batch whose content hash equals
 ///     `batch_hash`
@@ -58,7 +55,7 @@ struct ExecutionPlan {
   std::string name;
   std::string module_text;
   std::uint32_t num_clusters = 1;  ///< aggregator count (ports included)
-  std::uint32_t feature_dim = 0;   ///< F; 0 = structure-only plan
+  std::uint32_t feature_dim = 0;   ///< F; 0 = batch without features
   std::uint32_t prompt_dim = 0;    ///< register-prompt embedding width
   std::uint64_t batch_hash = 0;    ///< core::batch_content_hash of the source
   std::uint64_t num_cells = 0;
@@ -82,7 +79,7 @@ struct ExecutionPlan {
   std::vector<std::int32_t> level_nodes;
   std::vector<std::int32_t> inputs, outputs, flops;
   /// Per `flops` entry: fanin indices of the D/E/R pins (-1 when the cell
-  /// type has no such pin), so the clock-edge loop skips pin-name lookups.
+  /// type has no such pin).
   std::vector<std::int32_t> flop_pin_d, flop_pin_e, flop_pin_r;
 
   // --- two-phase schedule (gnn::Graph steps, flattened) --------------------
@@ -101,10 +98,10 @@ struct ExecutionPlan {
   std::vector<float> toggle, one_prob, arrival_norm, flop_arrival_norm;
   std::vector<float> reg_prompt_emb;  ///< |flops|×prompt_dim row-major
 
-  // --- hash-consed cones ----------------------------------------------------
-  /// Structural hash of each node's combinational fan-in cone (its h0
-  /// identity for leaves). Equal hashes ⇒ bit-identical final embeddings
-  /// under a rounds==1 model — the keying contract of the cone cache.
+  // --- cone fingerprints ----------------------------------------------------
+  /// Stored structural fingerprint of each node's combinational fan-in cone
+  /// (its h0 identity for leaves): cell types, clusters, feature rows and
+  /// pin-ordered fanins. dirty_cones() compares two plans through it.
   /// 0 for primary outputs (not part of the GNN).
   std::vector<std::uint64_t> cone_hash;
   /// Dense cone ids: cone_id[i] == cone_id[j] iff cone_hash[i] ==
@@ -130,10 +127,6 @@ ExecutionPlan compile(const data::LabeledCircuit& lc,
                       const lm::TextEncoder& enc,
                       const core::FeatureConfig& cfg);
 
-/// Structure-only plan (no schedule, features or labels): enough for
-/// PlanSimulator and arrival_times. All nodes share cluster 0.
-ExecutionPlan compile_structure(const netlist::Netlist& nl);
-
 /// Materialize the model-ready batch back from a plan (one allocation pass;
 /// no netlist, encoder or clustering needed). The result's content_hash is
 /// the plan's batch_hash.
@@ -147,15 +140,11 @@ core::CircuitBatch to_batch(const ExecutionPlan& plan);
 std::string serialize(const ExecutionPlan& plan);
 ExecutionPlan deserialize(std::string_view blob, ErrorContext ctx);
 void save(const ExecutionPlan& plan, const std::string& path);
-/// With `use_mmap` the MOSSPLN1 blob is mapped read-only instead of slurped
-/// (one page-cache walk instead of a full copy; falls back to the one-read
-/// path when mapping is unavailable). The result is identical either way —
-/// deserialization copies what it keeps.
-ExecutionPlan load(const std::string& path, bool use_mmap = false);
+/// One read of the whole file (tensor::read_file), then deserialize().
+ExecutionPlan load(const std::string& path);
 
 /// Nodes of `next` whose cone hash does not occur anywhere in `prev` — the
-/// cones an incremental edit dirtied (everything else can reuse cached
-/// embeddings). Primary outputs are never reported.
+/// cones an incremental edit dirtied. Primary outputs are never reported.
 std::vector<std::int32_t> dirty_cones(const ExecutionPlan& prev,
                                       const ExecutionPlan& next);
 
@@ -163,81 +152,5 @@ std::vector<std::int32_t> dirty_cones(const ExecutionPlan& prev,
 /// ascending: the nodes whose cached state a change to `seeds` invalidates.
 std::vector<std::int32_t> invalidation_set(const ExecutionPlan& plan,
                                            const std::vector<std::int32_t>& seeds);
-
-/// Storage interface for per-cone embedding rows (1×hidden). Implementations
-/// must be content-addressed per model: a row stored under a cone hash must
-/// have been produced by the same parameters that will consume it (the serve
-/// layer mixes the session uid into the underlying cache key).
-class ConeRowCache {
- public:
-  virtual ~ConeRowCache() = default;
-  virtual std::optional<tensor::Tensor> get(std::uint64_t cone_hash) = 0;
-  virtual void put(std::uint64_t cone_hash, const tensor::Tensor& row) = 0;
-};
-
-struct ConeStats {
-  std::size_t scheduled = 0;  ///< nodes the schedule updates
-  std::size_t reused = 0;     ///< rows served from the cone cache
-  std::size_t computed = 0;   ///< rows propagated and stored
-};
-
-/// Node embeddings with hash-consed cone reuse: bit-identical to
-/// gnn.run(batch.graph) (asserted in tests), but every scheduled node whose
-/// cone hash is already cached skips propagation — shared subcircuits across
-/// requests (and unchanged cones across incremental edits) cost one cache
-/// row copy instead of a GEMM. Inference-only: the returned tensor carries
-/// no gradient graph.
-///
-/// Sound only for a single two-phase round with at most one turnaround step
-/// (then a node's final embedding is a pure function of its fan-in cone);
-/// any other schedule falls back to the full gnn.run().
-tensor::Tensor hashcons_node_embeddings(const gnn::TwoPhaseGnn& gnn,
-                                        const ExecutionPlan& plan,
-                                        const core::CircuitBatch& batch,
-                                        ConeRowCache& cache,
-                                        ConeStats* stats = nullptr);
-
-/// Cycle simulator over the flat plan: bit-identical to sim::Simulator on
-/// the source netlist (same topo order, same eval, same clock-edge pin
-/// semantics), but walking CSR arrays instead of pointer-chasing nodes.
-class PlanSimulator {
- public:
-  PlanSimulator(const ExecutionPlan& plan, const cell::CellLibrary& lib);
-
-  void reset_state();
-  /// One cycle: combinational settle with `pi_values` (bit per primary
-  /// input, plan input order), then clock edge.
-  void step(const std::vector<std::uint8_t>& pi_values);
-
-  std::uint8_t value(std::int32_t id) const {
-    return values_[static_cast<std::size_t>(id)];
-  }
-  std::vector<std::uint8_t> output_values() const;
-  std::uint64_t cycles() const { return cycles_; }
-  std::uint64_t transitions(std::int32_t id) const {
-    return transitions_[static_cast<std::size_t>(id)];
-  }
-  double toggle_rate(std::int32_t id) const;
-  std::vector<double> toggle_rates() const;
-  double one_rate(std::int32_t id) const;
-  std::vector<double> one_rates() const;
-  void clear_activity();
-
- private:
-  const ExecutionPlan* plan_;
-  const cell::CellLibrary* lib_;
-  std::vector<std::uint8_t> values_;
-  std::vector<std::uint8_t> flop_state_;
-  std::vector<std::uint64_t> transitions_;
-  std::vector<std::uint64_t> ones_;
-  std::uint64_t cycles_ = 0;
-};
-
-/// Per-node arrival times over the flat plan — the same linear NLDM model
-/// (and, when opts.slew_aware, the same slew derating) as sta::TimingAnalysis,
-/// evaluated in the identical stored topo order so results match exactly.
-std::vector<double> arrival_times(const ExecutionPlan& plan,
-                                  const cell::CellLibrary& lib,
-                                  const sta::StaOptions& opts = {});
 
 }  // namespace moss::plan

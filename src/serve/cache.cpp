@@ -45,7 +45,6 @@ namespace {
 constexpr std::uint64_t kTagRtl = 0x52544C00;      // "RTL"
 constexpr std::uint64_t kTagNode = 0x4E4F4445;     // "NODE"
 constexpr std::uint64_t kTagNetlist = 0x4E455400;  // "NET"
-constexpr std::uint64_t kTagCone = 0x434F4E45;     // "CONE"
 }  // namespace
 
 std::uint64_t rtl_key(std::uint64_t session_uid, std::string_view rtl_text) {
@@ -68,10 +67,6 @@ std::uint64_t netlist_key(std::uint64_t session_uid,
       .mix(session_uid)
       .mix(batch_hash)
       .digest();
-}
-
-std::uint64_t cone_key(std::uint64_t session_uid, std::uint64_t cone_hash) {
-  return HashBuilder().mix(kTagCone).mix(session_uid).mix(cone_hash).digest();
 }
 
 namespace {

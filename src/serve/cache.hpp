@@ -32,8 +32,6 @@ std::uint64_t node_embedding_key(std::uint64_t session_uid,
                                  std::uint64_t batch_hash);
 std::uint64_t netlist_key(std::uint64_t session_uid,
                           std::uint64_t batch_hash);
-/// Key of one hash-consed cone embedding row (moss::plan cone hashes).
-std::uint64_t cone_key(std::uint64_t session_uid, std::uint64_t cone_hash);
 
 /// Aggregate counters; `hits + misses` equals the number of lookups.
 struct CacheStats {

@@ -6,7 +6,6 @@
 
 #include "core_util/error.hpp"
 #include "core_util/fault.hpp"
-#include "plan/plan.hpp"
 #include "power/power.hpp"
 #include "sat/oracle.hpp"
 #include "serve/fused.hpp"
@@ -38,26 +37,27 @@ EngineConfig validated(EngineConfig cfg) {
   return cfg;
 }
 
-/// Bridges plan::hashcons_node_embeddings onto the serve EmbeddingCache:
-/// cone rows live in the same byte budget as the other embeddings, keyed by
-/// cone_key(session fingerprint, cone hash) so a model with different
-/// parameters never reuses a predecessor's rows.
-class ConeCacheAdapter : public plan::ConeRowCache {
- public:
-  ConeCacheAdapter(EmbeddingCache& cache, std::uint64_t session_uid)
-      : cache_(&cache), uid_(session_uid) {}
+/// FEP-rank query text: the request's RTL, else the circuit's module text.
+const std::string& rank_query_text(const Request& req) {
+  return !req.rtl_text.empty()
+             ? req.rtl_text
+             : (req.circuit ? req.circuit->module_text : req.rtl_text);
+}
 
-  std::optional<Tensor> get(std::uint64_t cone_hash) override {
-    return cache_->get(cone_key(uid_, cone_hash));
-  }
-  void put(std::uint64_t cone_hash, const Tensor& row) override {
-    cache_->put(cone_key(uid_, cone_hash), row);
-  }
+/// EMBED text: the request's RTL, else the batch's module text.
+const std::string& embed_text(const Request& req,
+                              const core::CircuitBatch& batch) {
+  return !req.rtl_text.empty() ? req.rtl_text : batch.module_text;
+}
 
- private:
-  EmbeddingCache* cache_;
-  std::uint64_t uid_;
-};
+/// Ranking order: score descending, pool index ascending on ties.
+void sort_ranking(std::vector<RankEntry>& ranking) {
+  std::sort(ranking.begin(), ranking.end(),
+            [](const RankEntry& a, const RankEntry& b) {
+              return a.score != b.score ? a.score > b.score
+                                        : a.index < b.index;
+            });
+}
 
 }  // namespace
 
@@ -171,10 +171,16 @@ void InferenceEngine::register_pool(
   pools_[name] = std::move(pool);  // atomic replacement, like the registry
 }
 
-std::size_t InferenceEngine::pool_size(const std::string& name) const {
+std::shared_ptr<const InferenceEngine::Pool> InferenceEngine::find_pool(
+    const std::string& name) const {
   const std::lock_guard<std::mutex> lock(pools_mu_);
   const auto it = pools_.find(name);
-  return it == pools_.end() ? 0 : it->second->members.size();
+  return it == pools_.end() ? nullptr : it->second;
+}
+
+std::size_t InferenceEngine::pool_size(const std::string& name) const {
+  const std::shared_ptr<const Pool> pool = find_pool(name);
+  return pool ? pool->members.size() : 0;
 }
 
 std::size_t InferenceEngine::queue_depth() const {
@@ -454,14 +460,8 @@ void InferenceEngine::fused_group(std::vector<Pending*>& group,
     const Request& req = group[i]->req;
     Slot& sl = slots[i];
     if (kind == RequestKind::kFepRank) {
-      {
-        const std::lock_guard<std::mutex> lock(pools_mu_);
-        const auto it = pools_.find(req.pool);
-        if (it != pools_.end()) sl.pool = it->second;
-      }
-      sl.text = !req.rtl_text.empty()
-                    ? req.rtl_text
-                    : (req.circuit ? req.circuit->module_text : req.rtl_text);
+      sl.pool = find_pool(req.pool);
+      sl.text = rank_query_text(req);
       if (!sl.pool || sl.text.empty()) continue;  // solo retry -> typed error
       sl.member_unit.reserve(sl.pool->members.size());
       for (std::size_t j = 0; j < sl.pool->members.size(); ++j) {
@@ -573,11 +573,7 @@ void InferenceEngine::fused_group(std::vector<Pending*>& group,
                 j, units[u].batch->name,
                 s.model().pair_score(r_e, netlist_e[u])});
           }
-          std::sort(r.ranking.begin(), r.ranking.end(),
-                    [](const RankEntry& a, const RankEntry& b) {
-                      return a.score != b.score ? a.score > b.score
-                                                : a.index < b.index;
-                    });
+          sort_ranking(r.ranking);
           break;
         }
         case RequestKind::kAtp: {
@@ -611,8 +607,7 @@ void InferenceEngine::fused_group(std::vector<Pending*>& group,
         case RequestKind::kEmbed: {
           r.embedding = netlist_e[slots[i].unit].data();
           const std::string& text =
-              !req.rtl_text.empty() ? req.rtl_text
-                                    : units[slots[i].unit].batch->module_text;
+              embed_text(req, *units[slots[i].unit].batch);
           if (!text.empty()) {
             r.rtl_embedding = rtl_embedding(s, text).data();
           }
@@ -670,19 +665,9 @@ void InferenceEngine::fused_group(std::vector<Pending*>& group,
 
 Tensor InferenceEngine::node_embeddings(const MossSession& s,
                                         const core::CircuitBatch& batch,
-                                        std::uint64_t batch_hash,
-                                        const plan::ExecutionPlan* plan) const {
+                                        std::uint64_t batch_hash) const {
   const auto compute = [&] {
     MOSS_FAULT_POINT("serve.session.forward");
-    // The hash-consed cone path needs somewhere to store per-cone rows and a
-    // plan whose cones describe *this* batch; it is bit-identical to the
-    // packaged forward (and falls back to it internally for rounds != 1).
-    if (plan != nullptr && cache_ != nullptr &&
-        plan->batch_hash == batch_hash) {
-      ConeCacheAdapter cones(*cache_, s.fingerprint());
-      return plan::hashcons_node_embeddings(s.model().gnn(), *plan, batch,
-                                            cones);
-    }
     return s.model().node_embeddings(batch).detach();
   };
   if (!cache_) return compute();
@@ -692,10 +677,9 @@ Tensor InferenceEngine::node_embeddings(const MossSession& s,
 
 Tensor InferenceEngine::netlist_embedding(const MossSession& s,
                                           const core::CircuitBatch& batch,
-                                          std::uint64_t batch_hash,
-                                          const plan::ExecutionPlan* plan) const {
+                                          std::uint64_t batch_hash) const {
   const auto compute = [&] {
-    const Tensor h = node_embeddings(s, batch, batch_hash, plan);
+    const Tensor h = node_embeddings(s, batch, batch_hash);
     MOSS_FAULT_POINT("serve.session.forward");
     return s.model().netlist_embedding(batch, h).detach();
   };
@@ -717,14 +701,9 @@ InferenceEngine::ResolvedBatch InferenceEngine::resolve_batch(
     const MossSession& s, const Request& req) const {
   ResolvedBatch rb;
   if (req.kind == RequestKind::kFepRank) return rb;  // pool-driven, no batch
-  rb.plan = req.plan;
   if (req.batch) {
     rb.batch = req.batch;
     rb.hash = core::content_hash(*req.batch);
-  } else if (req.plan) {
-    rb.batch =
-        std::make_shared<core::CircuitBatch>(plan::to_batch(*req.plan));
-    rb.hash = req.plan->batch_hash;
   } else if (req.circuit) {
     // Batch construction is encoder-side tokenization against this
     // session's encoder, so the result is only valid for sessions sharing
@@ -855,16 +834,8 @@ std::optional<Response> InferenceEngine::try_serve_stale(
     r.session_uid = s.uid();
     r.degraded = true;
     if (req.kind == RequestKind::kFepRank) {
-      std::shared_ptr<const Pool> pool;
-      {
-        const std::lock_guard<std::mutex> lock(pools_mu_);
-        const auto it = pools_.find(req.pool);
-        if (it != pools_.end()) pool = it->second;
-      }
-      const std::string& text =
-          !req.rtl_text.empty()
-              ? req.rtl_text
-              : (req.circuit ? req.circuit->module_text : req.rtl_text);
+      const std::shared_ptr<const Pool> pool = find_pool(req.pool);
+      const std::string& text = rank_query_text(req);
       if (!pool || text.empty()) return std::nullopt;
       const std::optional<Tensor> r_e =
           cache_->get(rtl_key(s.fingerprint(), text));
@@ -877,11 +848,7 @@ std::optional<Response> InferenceEngine::try_serve_stale(
         r.ranking.push_back(RankEntry{j, pool->members[j]->name,
                                       s.model().pair_score(*r_e, *n_e)});
       }
-      std::sort(r.ranking.begin(), r.ranking.end(),
-                [](const RankEntry& a, const RankEntry& b) {
-                  return a.score != b.score ? a.score > b.score
-                                            : a.index < b.index;
-                });
+      sort_ranking(r.ranking);
       return r;
     }
     // kEmbed. Reuse the dispatcher's resolved batch when it is usable here
@@ -898,9 +865,6 @@ std::optional<Response> InferenceEngine::try_serve_stale(
     } else if (req.batch) {
       batch = req.batch;
       bh = core::content_hash(*batch);
-    } else if (req.plan) {
-      batch = std::make_shared<core::CircuitBatch>(plan::to_batch(*req.plan));
-      bh = req.plan->batch_hash;
     } else if (req.circuit) {
       batch = std::make_shared<core::CircuitBatch>(s.build(*req.circuit));
       bh = core::content_hash(*batch);
@@ -911,8 +875,7 @@ std::optional<Response> InferenceEngine::try_serve_stale(
         cache_->get(netlist_key(s.fingerprint(), bh));
     if (!n_e) return std::nullopt;
     r.embedding = n_e->data();
-    const std::string& text =
-        !req.rtl_text.empty() ? req.rtl_text : batch->module_text;
+    const std::string& text = embed_text(req, *batch);
     if (!text.empty()) {
       const std::optional<Tensor> r_e =
           cache_->get(rtl_key(s.fingerprint(), text));
@@ -935,20 +898,12 @@ Response InferenceEngine::process_with(const MossSession& s,
   r.session_uid = s.uid();
 
   if (req.kind == RequestKind::kFepRank) {
-    std::shared_ptr<const Pool> pool;
-    {
-      const std::lock_guard<std::mutex> lock(pools_mu_);
-      const auto it = pools_.find(req.pool);
-      if (it != pools_.end()) pool = it->second;
-    }
+    const std::shared_ptr<const Pool> pool = find_pool(req.pool);
     if (!pool) {
       fail_typed("unknown_pool", "FEP-rank pool not registered",
                  {{"pool", req.pool}});
     }
-    const std::string& text =
-        !req.rtl_text.empty()
-            ? req.rtl_text
-            : (req.circuit ? req.circuit->module_text : req.rtl_text);
+    const std::string& text = rank_query_text(req);
     if (text.empty()) {
       fail_typed("bad_request", "FEP-rank needs query RTL text");
     }
@@ -956,16 +911,11 @@ Response InferenceEngine::process_with(const MossSession& s,
     r.ranking.reserve(pool->members.size());
     for (std::size_t j = 0; j < pool->members.size(); ++j) {
       const core::CircuitBatch& member = *pool->members[j];
-      const Tensor n_e = netlist_embedding(s, member, pool->hashes[j],
-                                           /*plan=*/nullptr);
+      const Tensor n_e = netlist_embedding(s, member, pool->hashes[j]);
       r.ranking.push_back(
           RankEntry{j, member.name, s.model().pair_score(r_e, n_e)});
     }
-    std::sort(r.ranking.begin(), r.ranking.end(),
-              [](const RankEntry& a, const RankEntry& b) {
-                return a.score != b.score ? a.score > b.score
-                                          : a.index < b.index;
-              });
+    sort_ranking(r.ranking);
     return r;
   }
 
@@ -973,11 +923,10 @@ Response InferenceEngine::process_with(const MossSession& s,
   // were resolved exactly once in process().
   const std::shared_ptr<const core::CircuitBatch>& batch = rb.batch;
   const std::uint64_t bh = rb.hash;
-  const plan::ExecutionPlan* pl = rb.plan.get();
 
   switch (req.kind) {
     case RequestKind::kAtp: {
-      const Tensor h = node_embeddings(s, *batch, bh, pl);
+      const Tensor h = node_embeddings(s, *batch, bh);
       MOSS_FAULT_POINT("serve.session.forward");
       const Tensor flop =
           s.model().predict_arrival(*batch, h, batch->flop_rows);
@@ -994,7 +943,7 @@ Response InferenceEngine::process_with(const MossSession& s,
                    "TRP+PP needs the circuit (power model reads the "
                    "netlist)");
       }
-      const Tensor h = node_embeddings(s, *batch, bh, pl);
+      const Tensor h = node_embeddings(s, *batch, bh);
       MOSS_FAULT_POINT("serve.session.forward");
       const core::LocalPredictions pred = s.model().predict_local(*batch, h);
       r.values.reserve(batch->cell_rows.size());
@@ -1009,11 +958,9 @@ Response InferenceEngine::process_with(const MossSession& s,
       return r;
     }
     case RequestKind::kEmbed: {
-      const Tensor n_e = netlist_embedding(s, *batch, bh, pl);
+      const Tensor n_e = netlist_embedding(s, *batch, bh);
       r.embedding = n_e.data();
-      const std::string& text = !req.rtl_text.empty()
-                                    ? req.rtl_text
-                                    : batch->module_text;
+      const std::string& text = embed_text(req, *batch);
       if (!text.empty()) {
         r.rtl_embedding = rtl_embedding(s, text).data();
       }

@@ -21,27 +21,19 @@
 #include "serve/resilience.hpp"
 #include "tensor/kernels.hpp"
 
-namespace moss::plan {
-struct ExecutionPlan;
-}
-
 namespace moss::serve {
 
 /// One inference request. ATP/TRP+PP/EMBED need a circuit (and use `batch`
 /// when the caller prebuilt it against the target session's encoder —
 /// otherwise the engine builds one); FEP-rank needs only `rtl_text` (or
-/// takes it from the circuit) plus the name of a registered pool.
+/// takes it from the circuit) plus the name of a registered pool. A caller
+/// holding a compiled MOSSPLN1 blob passes the batch it stores (to_batch)
+/// as `batch`; that batch carries its stored content hash, so the engine
+/// does not re-hash it.
 struct Request {
   RequestKind kind = RequestKind::kAtp;
   std::shared_ptr<const data::LabeledCircuit> circuit;
   std::shared_ptr<const core::CircuitBatch> batch;
-  /// Precompiled execution plan for the same circuit (moss::plan). Stands in
-  /// for `batch` (the engine reconstructs one via plan::to_batch) and, when a
-  /// cache is attached and the serving model runs one GNN round, switches
-  /// node embeddings to the hash-consed cone path: cones shared with earlier
-  /// requests are copied from the cache instead of re-propagated, with
-  /// bit-identical results.
-  std::shared_ptr<const plan::ExecutionPlan> plan;
   std::string rtl_text;             ///< FEP-rank query RTL
   std::string pool;                 ///< FEP-rank target pool name
   /// VERIFY: the second circuit of the equivalence pair (`circuit` is the
@@ -220,7 +212,6 @@ class InferenceEngine {
   /// know whether they may reuse it.
   struct ResolvedBatch {
     std::shared_ptr<const core::CircuitBatch> batch;
-    std::shared_ptr<const plan::ExecutionPlan> plan;
     std::uint64_t hash = 0;
     std::uint64_t built_uid = 0;  ///< 0 = caller-provided / session-agnostic
   };
@@ -255,6 +246,8 @@ class InferenceEngine {
   Response process_with(const MossSession& s, const Request& req,
                         const ResolvedBatch& rb);
   ResolvedBatch resolve_batch(const MossSession& s, const Request& req) const;
+  /// The registered pool `name`, or null.
+  std::shared_ptr<const Pool> find_pool(const std::string& name) const;
   /// Degraded path: answer EMBED/FEP-rank purely from cached embeddings of
   /// the *current* session (no forward passes). Empty when anything needed
   /// is missing from the cache. `rb` (when non-null) carries the already
@@ -265,12 +258,10 @@ class InferenceEngine {
   double worst_p95_us();
   tensor::Tensor node_embeddings(const MossSession& s,
                                  const core::CircuitBatch& batch,
-                                 std::uint64_t batch_hash,
-                                 const plan::ExecutionPlan* plan) const;
+                                 std::uint64_t batch_hash) const;
   tensor::Tensor netlist_embedding(const MossSession& s,
                                    const core::CircuitBatch& batch,
-                                   std::uint64_t batch_hash,
-                                   const plan::ExecutionPlan* plan) const;
+                                   std::uint64_t batch_hash) const;
   tensor::Tensor rtl_embedding(const MossSession& s,
                                const std::string& text) const;
 

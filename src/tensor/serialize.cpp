@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "core_util/check.hpp"
@@ -12,8 +11,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -41,9 +38,11 @@ void put_u64(std::string& buf, std::uint64_t v) {
   }
 }
 
+/// Everything left in `in`, copied through the stream buffer in bulk.
 std::string slurp(std::istream& in) {
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return std::move(buf).str();
 }
 
 }  // namespace
@@ -180,6 +179,60 @@ void ByteReader::expect_end() const {
     c.fail("trailing bytes in checkpoint section (" +
            std::to_string(data_.size() - pos_) + " unread)");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Single-payload frame (MOSSPLN1, MOSSSEG1, MOSSMFT1)
+// ---------------------------------------------------------------------------
+
+std::string frame(const char (&magic)[8], std::uint32_t version,
+                  std::string_view payload) {
+  ByteWriter w;
+  w.bytes(magic, sizeof(magic));
+  w.u32(version);
+  w.u32(0);  // reserved
+  w.u64(payload.size());
+  w.u32(crc32(payload));
+  std::string out = w.take();
+  out += payload;
+  return out;
+}
+
+std::string_view unframe(const char (&magic)[8], std::uint32_t version,
+                         std::string_view blob, const ErrorContext& ctx) {
+  const auto fail = [&](const char* reason, const std::string& msg) {
+    ErrorContext c = ctx;
+    c.add("reason", reason).fail(msg);
+  };
+  if (blob.size() < kFrameHeaderBytes) fail("truncated", "truncated header");
+  if (std::memcmp(blob.data(), magic, sizeof(magic)) != 0) {
+    fail("bad_magic", "unrecognized file magic");
+  }
+  ByteReader r(blob.substr(sizeof(magic), kFrameHeaderBytes - sizeof(magic)),
+               ctx);
+  const std::uint32_t got_version = r.u32();
+  const std::uint32_t reserved = r.u32();
+  const std::uint64_t payload_bytes = r.u64();
+  const std::uint32_t expect_crc = r.u32();
+  if (got_version != version) {
+    ErrorContext c = ctx;
+    c.add("reason", "bad_version")
+        .add("version", std::to_string(got_version))
+        .fail("unsupported format version");
+  }
+  if (reserved != 0) fail("bad_reserved", "header reserved field must be zero");
+  const std::string_view payload = blob.substr(kFrameHeaderBytes);
+  if (payload.size() != payload_bytes) {
+    ErrorContext c = ctx;
+    c.add("reason", "truncated")
+        .add("expected_bytes", std::to_string(payload_bytes))
+        .add("actual_bytes", std::to_string(payload.size()))
+        .fail("payload size mismatch");
+  }
+  if (crc32(payload) != expect_crc) {
+    fail("crc_mismatch", "payload checksum mismatch");
+  }
+  return payload;
 }
 
 // ---------------------------------------------------------------------------
@@ -549,83 +602,14 @@ CheckpointFile read_checkpoint_file(const std::string& path) {
   return CheckpointFile::read(in, ctx);
 }
 
-void FileBlob::reset() {
-#if defined(__unix__) || defined(__APPLE__)
-  if (map_ != nullptr) ::munmap(map_, map_size_);
-#endif
-  map_ = nullptr;
-  map_size_ = 0;
-  owned_.clear();
-}
-
-FileBlob::~FileBlob() { reset(); }
-
-FileBlob::FileBlob(FileBlob&& other) noexcept
-    : map_(other.map_),
-      map_size_(other.map_size_),
-      owned_(std::move(other.owned_)) {
-  other.map_ = nullptr;
-  other.map_size_ = 0;
-}
-
-FileBlob& FileBlob::operator=(FileBlob&& other) noexcept {
-  if (this != &other) {
-    reset();
-    map_ = other.map_;
-    map_size_ = other.map_size_;
-    owned_ = std::move(other.owned_);
-    other.map_ = nullptr;
-    other.map_size_ = 0;
-  }
-  return *this;
-}
-
-FileBlob FileBlob::read(const std::string& path, const ErrorContext& ctx,
-                        bool use_mmap) {
-  FileBlob blob;
-#if defined(__unix__) || defined(__APPLE__)
-  if (use_mmap) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-      ErrorContext c = ctx;
-      c.set("file", path);
-      c.fail("cannot open file");
-    }
-    struct stat st {};
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      if (st.st_size == 0) {
-        // Zero-length mmap is an error on POSIX; an empty blob is not.
-        ::close(fd);
-        return blob;
-      }
-      void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                       PROT_READ, MAP_PRIVATE, fd, 0);
-      if (p != MAP_FAILED) {
-        // The mapping holds its own reference to the file; the descriptor
-        // is no longer needed.
-        ::close(fd);
-        blob.map_ = p;
-        blob.map_size_ = static_cast<std::size_t>(st.st_size);
-        return blob;
-      }
-    }
-    // Mapping refused (pipe, special file, filesystem without mmap):
-    // fall back to the copying path below.
-    ::close(fd);
-  }
-#else
-  (void)use_mmap;
-#endif
+std::string read_file(const std::string& path, const ErrorContext& ctx) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
     ErrorContext c = ctx;
     c.set("file", path);
     c.fail("cannot open file");
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  blob.owned_ = std::move(buf).str();
-  return blob;
+  return slurp(in);
 }
 
 }  // namespace moss::tensor

@@ -81,6 +81,25 @@ class ByteReader {
   ErrorContext ctx_;
 };
 
+/// Single-payload blob frame shared by MOSSPLN1 (plan) and MOSSSEG1 /
+/// MOSSMFT1 (cache segments and their manifest):
+///
+///   magic[8] | u32 format_version | u32 reserved(0)
+///   u64 payload_bytes | u32 payload_crc32 | payload
+inline constexpr std::size_t kFrameHeaderBytes = 8 + 4 + 4 + 8 + 4;
+
+/// Header + `payload`, with reserved = 0 and the CRC32 of the payload.
+std::string frame(const char (&magic)[8], std::uint32_t version,
+                  std::string_view payload);
+
+/// Validate a framed blob and return its payload view (into `blob`). Every
+/// failure is a typed ContextError carrying `ctx`'s frames plus one of
+/// reason=truncated (short header or payload size mismatch), bad_magic,
+/// bad_version (with version=…), bad_reserved (nonzero reserved word) or
+/// crc_mismatch.
+std::string_view unframe(const char (&magic)[8], std::uint32_t version,
+                         std::string_view blob, const ErrorContext& ctx);
+
 /// An ordered set of named, checksummed sections — the v1 checkpoint
 /// container. Readers verify per-section byte counts and CRC32 before any
 /// payload is interpreted.
@@ -140,44 +159,9 @@ void load_parameters_file(const std::string& path, ParameterSet& params);
 void write_checkpoint_file(const std::string& path, const CheckpointFile& ckpt);
 CheckpointFile read_checkpoint_file(const std::string& path);
 
-/// A file's bytes, either mmap'd read-only (zero-copy, demand-paged — the
-/// kernel reads only the pages a deserializer actually touches) or slurped
-/// into an owned buffer. `view()` is valid for the blob's lifetime either
-/// way, so deserializers that take a string_view (plan::deserialize,
-/// cluster::unframe) work over both backings unchanged.
-///
-/// Movable, not copyable. On non-POSIX builds — or when mmap fails for any
-/// reason (network filesystems, exotic mounts) — read() silently falls back
-/// to the owned-buffer path; `use_mmap` is a hint, not a contract.
-class FileBlob {
- public:
-  FileBlob() = default;
-  ~FileBlob();
-  FileBlob(FileBlob&& other) noexcept;
-  FileBlob& operator=(FileBlob&& other) noexcept;
-  FileBlob(const FileBlob&) = delete;
-  FileBlob& operator=(const FileBlob&) = delete;
-
-  /// Read `path`. With `use_mmap` the file is mapped read-only when the
-  /// platform allows; otherwise (and on any mapping failure) the bytes are
-  /// copied into an owned buffer. Missing/unreadable files fail with a
-  /// ContextError carrying `ctx`'s frames.
-  static FileBlob read(const std::string& path, const ErrorContext& ctx,
-                       bool use_mmap = false);
-
-  std::string_view view() const {
-    return map_ != nullptr ? std::string_view(static_cast<const char*>(map_),
-                                              map_size_)
-                           : std::string_view(owned_);
-  }
-  bool mapped() const { return map_ != nullptr; }
-
- private:
-  void reset();
-
-  void* map_ = nullptr;       ///< non-null iff mmap backing
-  std::size_t map_size_ = 0;  ///< mapped length (may be 0 for empty files)
-  std::string owned_;         ///< fallback backing
-};
+/// The whole of `path` in one read — the slurp every loader here shares.
+/// A missing or unreadable file fails with a ContextError carrying `ctx`'s
+/// frames plus file=path.
+std::string read_file(const std::string& path, const ErrorContext& ctx);
 
 }  // namespace moss::tensor

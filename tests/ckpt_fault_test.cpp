@@ -265,6 +265,56 @@ TEST(CkptFormat, V0TruncationNeverPartiallyOverwrites) {
 }
 
 // ---------------------------------------------------------------------------
+// Shared single-payload frame (MOSSPLN1 / MOSSSEG1 / MOSSMFT1 header)
+
+constexpr char kTestMagic[8] = {'M', 'O', 'S', 'S', 'T', 'E', 'S', 'T'};
+
+std::string frame_reason(std::string_view blob) {
+  try {
+    tensor::unframe(kTestMagic, 3, blob, ErrorContext{});
+  } catch (const ContextError& e) {
+    return e.context_value("reason");
+  }
+  return "accepted";
+}
+
+TEST(BlobFrame, RoundTripAndTypedRejections) {
+  const std::string payload = "frame payload bytes";
+  const std::string blob = tensor::frame(kTestMagic, 3, payload);
+  ASSERT_EQ(blob.size(), tensor::kFrameHeaderBytes + payload.size());
+  EXPECT_EQ(tensor::unframe(kTestMagic, 3, blob, ErrorContext{}), payload);
+
+  const auto flipped = [&](std::size_t at) {
+    std::string bad = blob;
+    bad[at] = static_cast<char>(bad[at] ^ 0x40);
+    return bad;
+  };
+  EXPECT_EQ(frame_reason(blob.substr(0, 10)), "truncated");
+  EXPECT_EQ(frame_reason(blob.substr(0, blob.size() - 1)), "truncated");
+  EXPECT_EQ(frame_reason(flipped(0)), "bad_magic");
+  EXPECT_EQ(frame_reason(flipped(8)), "bad_version");
+  // Writers always store reserved = 0; any other value is corruption.
+  EXPECT_EQ(frame_reason(flipped(12)), "bad_reserved");
+  EXPECT_EQ(frame_reason(flipped(16)), "truncated");
+  EXPECT_EQ(frame_reason(flipped(24)), "crc_mismatch");
+  EXPECT_EQ(frame_reason(flipped(tensor::kFrameHeaderBytes + 2)),
+            "crc_mismatch");
+}
+
+TEST(BlobFrame, ReadFileOfMissingPathFailsTyped) {
+  ErrorContext ctx;
+  ctx.add("what", "probe");
+  try {
+    tensor::read_file(::testing::TempDir() + "no_such_blob.bin", ctx);
+    FAIL() << "missing file read";
+  } catch (const ContextError& e) {
+    EXPECT_EQ(e.context_value("what"), "probe");
+    EXPECT_NE(e.context_value("file").find("no_such_blob.bin"),
+              std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // atomic writes under injected faults
 
 TEST(CkptAtomic, RenameFaultLeavesOldFileIntact) {

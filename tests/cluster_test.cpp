@@ -202,33 +202,6 @@ TEST(Segment, SaveLoadRoundTripRestoresCacheWarm) {
   }
 }
 
-TEST(Segment, MmapLoadBitIdenticalToOneReadLoad) {
-  TempDir dir;
-  EmbeddingCache cache(1 << 20, 2);
-  for (std::uint64_t k = 1; k <= 20; ++k) {
-    cache.put(k, filled(16, static_cast<float>(k) * 0.5f));
-  }
-  const SaveReport sr = cluster::save_cache(dir.path, cache, 0x5678);
-
-  EmbeddingCache via_read(1 << 20, 2);
-  const LoadReport lr_read =
-      cluster::load_cache(dir.path, via_read, 0x5678, /*use_mmap=*/false);
-  EmbeddingCache via_mmap(1 << 20, 2);
-  const LoadReport lr_mmap =
-      cluster::load_cache(dir.path, via_mmap, 0x5678, /*use_mmap=*/true);
-
-  EXPECT_EQ(lr_mmap.entries, lr_read.entries);
-  EXPECT_EQ(lr_mmap.segments_loaded, sr.segments);
-  EXPECT_EQ(lr_mmap.segments_rejected, 0u) << lr_mmap.first_error;
-  for (std::uint64_t k = 1; k <= 20; ++k) {
-    const auto a = via_read.get(k);
-    const auto b = via_mmap.get(k);
-    ASSERT_TRUE(a.has_value()) << "key " << k;
-    ASSERT_TRUE(b.has_value()) << "key " << k;
-    EXPECT_EQ(a->data(), b->data()) << "key " << k;
-  }
-}
-
 TEST(Segment, SmallMaxSegmentBytesSplitsAndGcReclaimsOldGenerations) {
   TempDir dir;
   EmbeddingCache cache(1 << 20, 1);

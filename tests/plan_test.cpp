@@ -1,6 +1,6 @@
 // moss::plan test suite: compile invariants, blob round-trip + corruption
-// matrix, hash-consed cone bit-identity across every design family, and the
-// plan-walking simulator/STA consumers against their pointer-walk originals.
+// matrix, cone-fingerprint queries (dirty cones, invalidation closure) and
+// blob determinism across labeling thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,19 +17,15 @@
 #include "core_util/hash.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
+#include "gnn/two_phase_gnn.hpp"
 #include "plan/plan.hpp"
-#include "sim/simulator.hpp"
-#include "sta/sta.hpp"
-#include "synth/synthesize.hpp"
 
 namespace moss {
 namespace {
 
 using cell::standard_library;
 using core::CircuitBatch;
-using netlist::Netlist;
 using netlist::NodeId;
-using tensor::Tensor;
 
 // ---------------------------------------------------------------------------
 // helpers
@@ -49,30 +45,6 @@ data::LabeledCircuit labeled(const std::string& family, int size = 1,
   data::DatasetConfig cfg;
   cfg.sim_cycles = 200;
   return data::label_circuit(spec, standard_library(), cfg);
-}
-
-/// In-memory cone cache double: exact map semantics, no budget, no
-/// eviction — isolates the hash-cons algebra from EmbeddingCache policy.
-class MapCache : public plan::ConeRowCache {
- public:
-  std::optional<Tensor> get(std::uint64_t cone_hash) override {
-    const auto it = rows_.find(cone_hash);
-    if (it == rows_.end()) return std::nullopt;
-    return it->second;
-  }
-  void put(std::uint64_t cone_hash, const Tensor& row) override {
-    rows_.emplace(cone_hash, row.detach());
-  }
-  std::size_t size() const { return rows_.size(); }
-
- private:
-  std::unordered_map<std::uint64_t, Tensor> rows_;
-};
-
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  return std::memcmp(a.data().data(), b.data().data(),
-                     a.size() * sizeof(float)) == 0;
 }
 
 std::string tmp_path(const char* stem) {
@@ -151,17 +123,6 @@ TEST(PlanCompile, ShapesAndInvariants) {
     }
   }
   EXPECT_EQ(p.unique_cones, seen.size());
-}
-
-TEST(PlanCompile, StructureOnlyPlanHasNoScheduleOrFeatures) {
-  const auto lc = labeled("prbs_generator", 1);
-  const plan::ExecutionPlan p = plan::compile_structure(lc.netlist);
-  EXPECT_EQ(p.num_nodes(), lc.netlist.num_nodes());
-  EXPECT_EQ(p.feature_dim, 0u);
-  EXPECT_TRUE(p.features.empty());
-  EXPECT_TRUE(p.sched_nodes.empty());
-  EXPECT_EQ(p.batch_hash, 0u);
-  EXPECT_GT(p.unique_cones, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,14 +216,19 @@ TEST(PlanBlob, SaveIsAtomicUnderRenameFault) {
 }
 
 // ---------------------------------------------------------------------------
-// hash-consed cones: bit identity across every design family
+// every design family: stored structure and stored batch
 
 class PlanFamilySweep : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(PlanFamilySweep, HashconsMatchesPointerWalkColdAndWarm) {
+TEST_P(PlanFamilySweep, StoredBatchForwardMatchesBuiltBatch) {
+  // A plan is a stored batch: after a blob round-trip, to_batch() must
+  // drive the GNN to exactly the rows the freshly built batch produces.
   const auto lc = labeled(GetParam(), 1, 0xBEEF);
   const CircuitBatch b = core::build_batch(lc, enc(), {});
-  const plan::ExecutionPlan p = plan::compile(lc.netlist, b);
+  const plan::ExecutionPlan p = plan::deserialize(
+      plan::serialize(plan::compile(lc.netlist, b)), ErrorContext{});
+  const CircuitBatch stored = plan::to_batch(p);
+  EXPECT_EQ(core::content_hash(stored), core::content_hash(b));
 
   gnn::GnnConfig gc;
   gc.feature_dim = b.graph.features.cols();
@@ -273,61 +239,54 @@ TEST_P(PlanFamilySweep, HashconsMatchesPointerWalkColdAndWarm) {
   tensor::ParameterSet params;
   const gnn::TwoPhaseGnn gnn(gc, rng, params);
 
-  const Tensor reference = gnn.run(b.graph).detach();
-
-  MapCache cache;
-  plan::ConeStats cold;
-  const Tensor first = plan::hashcons_node_embeddings(gnn, p, b, cache, &cold);
-  EXPECT_TRUE(bit_identical(first, reference)) << GetParam() << " (cold)";
-  EXPECT_GT(cold.scheduled, 0u);
-  EXPECT_EQ(cold.reused, 0u);
-  EXPECT_EQ(cold.computed, cold.scheduled);
-
-  plan::ConeStats warm;
-  const Tensor second = plan::hashcons_node_embeddings(gnn, p, b, cache, &warm);
-  EXPECT_TRUE(bit_identical(second, reference)) << GetParam() << " (warm)";
-  EXPECT_EQ(warm.reused, warm.scheduled);
-  EXPECT_EQ(warm.computed, 0u);
+  const tensor::Tensor want = gnn.run(b.graph);
+  const tensor::Tensor got = gnn.run(stored.graph);
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                        want.size() * sizeof(float)),
+            0)
+      << GetParam();
 }
 
-TEST_P(PlanFamilySweep, SimulatorAndStaMatchPointerWalk) {
+TEST_P(PlanFamilySweep, StructureMirrorsNetlist) {
+  // The flat arrays are the netlist sim::Simulator and sta::TimingAnalysis
+  // walk, copied verbatim: topo order, ports, adjacency, loads, levels and
+  // flop control pins.
   const auto lc = labeled(GetParam(), 1, 0xF00D);
-  const Netlist& nl = lc.netlist;
-  const plan::ExecutionPlan p = plan::compile_structure(nl);
-
-  // Cycle simulation: identical values, transition counts and rates.
-  sim::Simulator ref(nl);
-  plan::PlanSimulator ps(p, nl.library());
-  Rng rng(fnv1a64(GetParam()) ^ 0x5151);
-  const std::size_t num_pi = nl.inputs().size();
-  for (int cycle = 0; cycle < 64; ++cycle) {
-    std::vector<std::uint8_t> pis(num_pi);
-    for (auto& v : pis) v = static_cast<std::uint8_t>(rng() & 1);
-    ref.step(pis);
-    ps.step(pis);
-  }
-  ASSERT_EQ(ps.cycles(), ref.cycles());
+  const netlist::Netlist& nl = lc.netlist;
+  const plan::ExecutionPlan p = plan::compile(lc, enc(), {});
+  ASSERT_EQ(p.num_nodes(), nl.num_nodes());
+  const auto ids = [](const std::vector<NodeId>& v) {
+    return std::vector<std::int32_t>(v.begin(), v.end());
+  };
+  EXPECT_EQ(p.topo, ids(nl.topo_order()));
+  EXPECT_EQ(p.inputs, ids(nl.inputs()));
+  EXPECT_EQ(p.outputs, ids(nl.outputs()));
+  EXPECT_EQ(p.flops, ids(nl.flops()));
   for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
     const auto id = static_cast<NodeId>(i);
-    const auto pid = static_cast<std::int32_t>(i);
-    ASSERT_EQ(ps.value(pid), ref.value(id)) << "node " << i;
-    ASSERT_EQ(ps.transitions(pid), ref.transitions(id)) << "node " << i;
-    EXPECT_DOUBLE_EQ(ps.toggle_rate(pid), ref.toggle_rate(id));
-    EXPECT_DOUBLE_EQ(ps.one_rate(pid), ref.one_rate(id));
-  }
-  EXPECT_EQ(ps.output_values(), ref.output_values());
-
-  // STA: exact arrival equality in both slew modes.
-  for (const bool slew : {false, true}) {
-    sta::StaOptions opts;
-    opts.slew_aware = slew;
-    const sta::TimingAnalysis ta(nl, opts);
-    const std::vector<double> at = plan::arrival_times(p, nl.library(), opts);
-    ASSERT_EQ(at.size(), nl.num_nodes());
-    for (std::size_t i = 0; i < nl.num_nodes(); ++i) {
-      EXPECT_DOUBLE_EQ(at[i], ta.arrival(static_cast<NodeId>(i)))
-          << GetParam() << " node " << i << " slew=" << slew;
+    const netlist::Node& n = nl.node(id);
+    const auto fi = static_cast<std::size_t>(p.fanin_offset[i]);
+    const auto fo = static_cast<std::size_t>(p.fanout_offset[i]);
+    ASSERT_EQ(static_cast<std::size_t>(p.fanin_offset[i + 1]) - fi,
+              n.fanin.size());
+    ASSERT_EQ(static_cast<std::size_t>(p.fanout_offset[i + 1]) - fo,
+              n.fanout.size());
+    for (std::size_t k = 0; k < n.fanin.size(); ++k) {
+      EXPECT_EQ(p.fanin[fi + k], static_cast<std::int32_t>(n.fanin[k]));
     }
+    for (std::size_t k = 0; k < n.fanout.size(); ++k) {
+      EXPECT_EQ(p.fanout[fo + k], static_cast<std::int32_t>(n.fanout[k]));
+    }
+    EXPECT_EQ(p.level[i], n.level) << GetParam() << " node " << i;
+    EXPECT_EQ(p.output_load[i], nl.output_load(id));
+  }
+  for (std::size_t f = 0; f < p.flops.size(); ++f) {
+    const cell::CellType& t = nl.type_of(static_cast<NodeId>(p.flops[f]));
+    EXPECT_EQ(p.flop_pin_d[f], t.pin_index("D"));
+    EXPECT_EQ(p.flop_pin_e[f], t.pin_index("E"));
+    EXPECT_EQ(p.flop_pin_r[f], t.pin_index("R"));
   }
 }
 
@@ -335,67 +294,18 @@ INSTANTIATE_TEST_SUITE_P(AllFamilies, PlanFamilySweep,
                          ::testing::ValuesIn(data::families()),
                          [](const auto& info) { return info.param; });
 
-TEST(PlanHashcons, MultiRoundModelFallsBackBitIdentically) {
-  const auto lc = labeled("gray_counter", 1);
-  const CircuitBatch b = core::build_batch(lc, enc(), {});
-  const plan::ExecutionPlan p = plan::compile(lc.netlist, b);
-
-  gnn::GnnConfig gc;
-  gc.feature_dim = b.graph.features.cols();
-  gc.hidden = 16;
-  gc.num_aggregators = b.graph.num_clusters;
-  gc.rounds = 3;  // cone reuse unsound: must fall back to full run()
-  Rng rng(99);
-  tensor::ParameterSet params;
-  const gnn::TwoPhaseGnn gnn(gc, rng, params);
-
-  MapCache cache;
-  plan::ConeStats stats;
-  const Tensor out = plan::hashcons_node_embeddings(gnn, p, b, cache, &stats);
-  EXPECT_TRUE(bit_identical(out, gnn.run(b.graph).detach()));
-  EXPECT_EQ(stats.scheduled, 0u);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(PlanHashcons, SharedConesReuseAcrossDifferentSeeds) {
-  // Two circuits of the same family share structure; a warm cache from the
-  // first must serve some cones of the second, still bit-identically.
-  const auto lc1 = labeled("shift_reg", 2, 1);
-  const auto lc2 = labeled("shift_reg", 2, 2);
-  const CircuitBatch b1 = core::build_batch(lc1, enc(), {});
-  const CircuitBatch b2 = core::build_batch(lc2, enc(), {});
-  const plan::ExecutionPlan p1 = plan::compile(lc1.netlist, b1);
-  const plan::ExecutionPlan p2 = plan::compile(lc2.netlist, b2);
-
-  gnn::GnnConfig gc;
-  gc.feature_dim = b1.graph.features.cols();
-  gc.hidden = 16;
-  gc.num_aggregators = b1.graph.num_clusters;
-  gc.rounds = 1;
-  Rng rng(7);
-  tensor::ParameterSet params;
-  const gnn::TwoPhaseGnn gnn(gc, rng, params);
-
-  MapCache cache;
-  (void)plan::hashcons_node_embeddings(gnn, p1, b1, cache);
-  plan::ConeStats stats;
-  const Tensor out = plan::hashcons_node_embeddings(gnn, p2, b2, cache, &stats);
-  EXPECT_TRUE(bit_identical(out, gnn.run(b2.graph).detach()));
-  EXPECT_GT(stats.reused, 0u) << "no structural sharing detected";
-}
-
 // ---------------------------------------------------------------------------
 // incremental invalidation
 
 TEST(PlanIncremental, IdenticalPlansHaveNoDirtyCones) {
   const auto lc = labeled("ctrl_fsm", 1);
-  const plan::ExecutionPlan p = plan::compile_structure(lc.netlist);
+  const plan::ExecutionPlan p = plan::compile(lc, enc(), {});
   EXPECT_TRUE(plan::dirty_cones(p, p).empty());
 }
 
 TEST(PlanIncremental, EditDirtiesConesAndInvalidationCoversFanout) {
-  const auto prev = plan::compile_structure(labeled("alu", 1).netlist);
-  const auto next = plan::compile_structure(labeled("alu", 2).netlist);
+  const auto prev = plan::compile(labeled("alu", 1), enc(), {});
+  const auto next = plan::compile(labeled("alu", 2), enc(), {});
   const std::vector<std::int32_t> dirty = plan::dirty_cones(prev, next);
   EXPECT_FALSE(dirty.empty());
   for (const std::int32_t id : dirty) {
